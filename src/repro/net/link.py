@@ -1,17 +1,20 @@
 """Point-to-point links with bandwidth, propagation delay, and loss.
 
-A :class:`Link` joins two endpoints. Each direction has its own transmit
-queue and serializer process, so the link models both serialization
-delay (``size_bits / bandwidth``) and propagation delay, plus optional
-random drop for failure-injection tests.
+A :class:`Link` joins two endpoints. Each direction is a FIFO server:
+a backlog of waiting packets plus a busy flag. It models both
+serialization delay (``size_bits / bandwidth``) and propagation delay,
+plus optional random drop for failure-injection tests. Service runs on
+timeout callbacks, not processes: one timeout per packet for
+serialization and one for propagation.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Callable, Optional
 
 from ..obs import Tracer
-from ..sim import Environment, Store
+from ..sim import Environment
 from .packet import Packet
 
 
@@ -53,17 +56,21 @@ class _Direction:
         self.drop_probability = drop_probability
         self.rng = rng
         self.up = True
-        self.queue: Store = Store(env)
+        #: Packets waiting behind the one being serialized.
+        self.backlog: deque = deque()
+        self.busy = False
         self.stats = LinkStats()
         #: Enqueue timestamps for traced packets only, so the hop span
         #: covers queueing + serialization + propagation.
         self._enqueue_ts = {}
-        env.process(self._serializer())
 
-    def note_enqueue(self, packet: Packet) -> None:
-        """Remember when a traced packet entered the transmit queue."""
+    def send(self, packet: Packet) -> None:
+        """Queue ``packet``; serve it at once when the wire is idle."""
         if self.env.tracer is not None and Tracer.context(packet)[0]:
             self._enqueue_ts[id(packet)] = self.env.now
+        self.backlog.append(packet)
+        if not self.busy:
+            self._serve()
 
     def _trace_hop(self, packet: Packet, enqueued_at,
                    dropped: Optional[str] = None) -> None:
@@ -81,30 +88,51 @@ class _Direction:
             node=self.name, start=enqueued_at, tags=tags,
         ))
 
-    def _serializer(self):
-        while True:
-            packet = yield self.queue.get()
-            enqueued_at = (self._enqueue_ts.pop(id(packet), None)
-                           if self._enqueue_ts else None)
-            if not self.up:
-                self.stats.packets_dropped += 1
-                self.stats.packets_dropped_down += 1
-                self._trace_hop(packet, enqueued_at, dropped="link_down")
-                continue
-            if self.drop_probability > 0 and self.rng is not None:
-                if self.rng.random() < self.drop_probability:
-                    self.stats.packets_dropped += 1
-                    self._trace_hop(packet, enqueued_at, dropped="loss")
-                    continue
-            yield self.env.timeout(packet.size_bits / self.bandwidth_bps)
-            self.stats.packets_sent += 1
-            self.stats.bytes_sent += packet.size_bytes
-            # Propagation happens "in flight": schedule delivery without
-            # blocking the serializer for the next packet.
-            self.env.process(self._propagate(packet, enqueued_at))
+    def _serve(self, _event=None) -> None:
+        """Put the head-of-line packet on the wire, or drop it.
 
-    def _propagate(self, packet: Packet, enqueued_at=None):
-        yield self.env.timeout(self.propagation_delay)
+        A drop keeps the wire busy until a zero-delay timeout serves the
+        next packet, rather than serving it in the same call. A burst
+        of drops on one link then interleaves with the up checks and
+        loss rolls of other links at the same instant in kernel event
+        order, which matters when links share one rng.
+        """
+        backlog = self.backlog
+        if not backlog:
+            self.busy = False
+            return
+        self.busy = True
+        packet = backlog.popleft()
+        if self.up and not (self.drop_probability > 0
+                            and self.rng is not None
+                            and self.rng.random() < self.drop_probability):
+            self.env.timeout(packet.size_bits / self.bandwidth_bps,
+                             packet).callbacks.append(self._serializer)
+            return
+        enqueued_at = (self._enqueue_ts.pop(id(packet), None)
+                       if self._enqueue_ts else None)
+        self.stats.packets_dropped += 1
+        if self.up:
+            self._trace_hop(packet, enqueued_at, dropped="loss")
+        else:
+            self.stats.packets_dropped_down += 1
+            self._trace_hop(packet, enqueued_at, dropped="link_down")
+        self.env.timeout(0).callbacks.append(self._serve)
+
+    def _serializer(self, event) -> None:
+        """The last bit is on the wire: propagate it, serve the next."""
+        packet = event._value
+        self.stats.packets_sent += 1
+        self.stats.bytes_sent += packet.size_bytes
+        self.env.timeout(self.propagation_delay,
+                         packet).callbacks.append(self._propagate)
+        self._serve()
+
+    def _propagate(self, event) -> None:
+        """The packet reached the far end: stamp and deliver it."""
+        packet = event._value
+        enqueued_at = (self._enqueue_ts.pop(id(packet), None)
+                       if self._enqueue_ts else None)
         packet.stamp(self.name, self.env.now)
         self._trace_hop(packet, enqueued_at)
         self.deliver(packet)
@@ -158,7 +186,7 @@ class Link:
         """Bring the whole link up or down (both directions).
 
         While down, queued and newly enqueued packets are dropped the
-        instant the serializer reaches them; no traffic crosses in
+        instant they reach the head of the line; no traffic crosses in
         either direction until the link is brought back up.
         """
         self._ab.up = up
@@ -176,11 +204,9 @@ class Link:
     def send(self, from_endpoint: str, packet: Packet) -> None:
         """Enqueue ``packet`` for transmission from ``from_endpoint``."""
         if from_endpoint == self.a:
-            self._ab.note_enqueue(packet)
-            self._ab.queue.put(packet)
+            self._ab.send(packet)
         elif from_endpoint == self.b:
-            self._ba.note_enqueue(packet)
-            self._ba.queue.put(packet)
+            self._ba.send(packet)
         else:
             raise ValueError(f"{from_endpoint!r} is not an endpoint of this link")
 

@@ -1,16 +1,19 @@
 """A store-and-forward Ethernet switch (the testbed's Arista DCS-7124S).
 
-The switch receives packets from attached links, looks up the egress
-port by destination node name, charges a fixed switching latency, and
-forwards out of per-port FIFO queues.
+The switch receives packets from attached links into one FIFO
+pipeline, charges a fixed switching latency per packet, looks up the
+egress port by destination node name, and forwards onto that port's
+link. Like a link direction, the pipeline is a backlog plus a busy
+flag served by one timeout per packet, not a process.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Dict, Iterable, Optional
 
 from ..obs import Tracer
-from ..sim import Environment, Store
+from ..sim import Environment
 from .link import Link
 from .packet import Packet
 
@@ -24,7 +27,7 @@ class SwitchStats:
 
 
 class Switch:
-    """A named switch with a destination-keyed forwarding table."""
+    """A named switch that forwards each packet to its destination's port."""
 
     def __init__(
         self,
@@ -36,26 +39,19 @@ class Switch:
         self.name = name
         self.switching_latency = switching_latency
         self._links: Dict[str, Link] = {}  # peer node -> link
-        self._table: Dict[str, str] = {}  # dst node -> peer node (port)
-        self._pipeline: Store = Store(env)
+        #: Packets waiting behind the one in the switching pipeline.
+        self._backlog: deque = deque()
+        self._busy = False
         #: Node -> partition-group index; None means no active partition.
         self._partition: Optional[Dict[str, int]] = None
         #: Pipeline-entry timestamps for traced packets only.
         self._entry_ts: Dict[int, float] = {}
         self.stats = SwitchStats()
-        env.process(self._forwarder())
 
     def attach_link(self, link: Link, peer: str) -> None:
         """Attach a link whose far endpoint is node ``peer``."""
         self._links[peer] = link
         link.attach(self.name, self._receive)
-        self._table[peer] = peer
-
-    def add_route(self, dst: str, via_peer: str) -> None:
-        """Route packets for ``dst`` out of the port facing ``via_peer``."""
-        if via_peer not in self._links:
-            raise ValueError(f"no port towards {via_peer!r}")
-        self._table[dst] = via_peer
 
     @property
     def ports(self) -> list:
@@ -95,7 +91,18 @@ class Switch:
     def _receive(self, packet: Packet) -> None:
         if self.env.tracer is not None and Tracer.context(packet)[0]:
             self._entry_ts[id(packet)] = self.env.now
-        self._pipeline.put(packet)
+        self._backlog.append(packet)
+        if not self._busy:
+            self._serve()
+
+    def _serve(self) -> None:
+        """Start the switching latency of the head-of-line packet."""
+        if self._backlog:
+            self._busy = True
+            self.env.timeout(self.switching_latency, self._backlog.popleft()
+                             ).callbacks.append(self._forwarder)
+        else:
+            self._busy = False
 
     def _trace_hop(self, packet: Packet, entered_at,
                    verdict: str) -> None:
@@ -111,22 +118,21 @@ class Switch:
             tags={"verdict": verdict, "dst": packet.dst},
         ))
 
-    def _forwarder(self):
-        while True:
-            packet = yield self._pipeline.get()
-            entered_at = (self._entry_ts.pop(id(packet), None)
-                          if self._entry_ts else None)
-            yield self.env.timeout(self.switching_latency)
-            peer = self._table.get(packet.dst)
-            if peer is None:
-                self.stats.packets_dropped_unknown += 1
-                self._trace_hop(packet, entered_at, "dropped_unknown")
-                continue
-            if self._crosses_partition(packet.src, peer):
-                self.stats.packets_dropped_partition += 1
-                self._trace_hop(packet, entered_at, "dropped_partition")
-                continue
+    def _forwarder(self, event) -> None:
+        """The switching latency is over: forward, then serve the next."""
+        packet = event._value
+        entered_at = (self._entry_ts.pop(id(packet), None)
+                      if self._entry_ts else None)
+        link = self._links.get(packet.dst)
+        if link is None:
+            self.stats.packets_dropped_unknown += 1
+            self._trace_hop(packet, entered_at, "dropped_unknown")
+        elif self._crosses_partition(packet.src, packet.dst):
+            self.stats.packets_dropped_partition += 1
+            self._trace_hop(packet, entered_at, "dropped_partition")
+        else:
             packet.stamp(self.name, self.env.now)
             self.stats.packets_forwarded += 1
             self._trace_hop(packet, entered_at, "forwarded")
-            self._links[peer].send(self.name, packet)
+            link.send(self.name, packet)
+        self._serve()

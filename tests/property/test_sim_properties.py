@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Environment, Resource, Store
+from repro.sim import Environment, Resource
 
 
 @given(delays=st.lists(st.floats(min_value=0.0, max_value=1e6,
@@ -46,27 +46,6 @@ def test_equal_timestamps_preserve_creation_order(delays):
     expected = [index for index, _ in
                 sorted(enumerate(delays), key=lambda pair: pair[1])]
     assert order == expected
-
-
-@given(items=st.lists(st.integers(), min_size=1, max_size=50))
-def test_store_preserves_fifo_order(items):
-    env = Environment()
-    received = []
-
-    def producer(env, store):
-        for item in items:
-            yield store.put(item)
-
-    def consumer(env, store):
-        for _ in items:
-            value = yield store.get()
-            received.append(value)
-
-    store = Store(env)
-    env.process(producer(env, store))
-    env.process(consumer(env, store))
-    env.run()
-    assert received == items
 
 
 @given(
