@@ -10,7 +10,7 @@ of re-interpreted.
 
 Soundness rests on two rules enforced by :class:`SmartNIC`:
 
-* **Only pure executions are cached.** The fast-path engine reports
+* **Only pure executions are cached.** The JIT engine reports
   whether a run wrote persistent memory (``STORE``/``STORED``/
   ``MEMCPY``/intrinsics declared with ``writes_memory=True``); impure
   runs are never memoised.
@@ -29,6 +29,14 @@ unhashable values are simply treated as uncacheable.
 The cache itself is a small LRU so a long tail of distinct requests
 cannot grow it without bound; simulated time is never consulted, so
 memoization cannot change simulation results — only wall-clock speed.
+
+The cache is on exactly when the NIC runs the JIT. In closed-loop runs
+it rarely pays: per-request ids make every key unique (a 200-request
+``web_server`` loop records 0 hits and 201 invalidations). It stays
+until the benchmark's layer table (``perfbench/layers.py``), which
+wraps :meth:`ExecutionMemoCache.get`/``put``/``invalidate``,
+:func:`make_key` and ``SmartNIC._payload_digest`` by name, stops
+measuring them.
 """
 
 from __future__ import annotations

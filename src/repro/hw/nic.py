@@ -13,7 +13,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..compiler import Firmware
 from ..isa import (
-    FastInterpreter,
     Interpreter,
     JitInterpreter,
     Region,
@@ -49,11 +48,11 @@ PIPELINE_OVERHEAD_CYCLES = 300
 #: instructions, i.e. 30 per segment.
 REORDER_CYCLES_PER_SEGMENT = 30
 
-#: Execution-engine tiers, slowest to fastest. All three are
+#: Execution engines: the reference interpreter (the executable
+#: specification and end-to-end oracle) and the JIT. Both are
 #: cycle-exact and verdict-identical (differentially proven); they only
-#: differ in host wall-clock speed. "jit" transparently degrades to
-#: fastpath for programs the JIT cannot lower.
-ENGINE_TIERS = ("interpreter", "fastpath", "jit")
+#: differ in host wall-clock speed.
+ENGINE_TIERS = ("interpreter", "jit")
 
 
 class NicStats:
@@ -112,34 +111,28 @@ class NicStats:
             "nic_latency_seconds", "on-NIC serve latency")
         self._per_lambda = self.registry.counter(
             "nic_lambda_requests_total", "requests served per lambda")
-        # Engine compile-cache statistics, per tier. The counters live
-        # on the engine objects (CompileCacheStats); these gauges mirror
-        # the current totals into the registry so tier behaviour —
-        # including JIT lowering fallbacks — is observable in scrapes.
+        # JIT compile-cache statistics. The counters live on the engine
+        # (CompileCacheStats); these gauges mirror the current totals
+        # into the registry so compile behaviour is observable in scrapes.
         self._compile_hits = self.registry.gauge(
             "nic_compile_cache_hits", "compile-cache hits per engine tier")
         self._compile_misses = self.registry.gauge(
             "nic_compile_cache_misses",
             "compile-cache misses (compilations) per engine tier")
-        self._compile_fallbacks = self.registry.gauge(
-            "nic_compile_cache_fallbacks",
-            "programs an engine tier could not lower")
 
     def record_compile_stats(self, tier: str, stats) -> None:
-        """Mirror one engine tier's CompileCacheStats into the registry."""
+        """Mirror an engine's CompileCacheStats into the registry."""
         labels = dict(self.labels or {})
         labels["tier"] = tier
         self._compile_hits.set(float(stats.hits), labels)
         self._compile_misses.set(float(stats.misses), labels)
-        self._compile_fallbacks.set(float(stats.fallbacks), labels)
 
     def compile_cache_stats(self) -> Dict[str, Dict[str, int]]:
         """Per-tier compile-cache totals as plain dicts (tests/REPL)."""
         node = (self.labels or {}).get("node")
         out: Dict[str, Dict[str, int]] = {}
         for gauge, field in ((self._compile_hits, "hits"),
-                             (self._compile_misses, "misses"),
-                             (self._compile_fallbacks, "fallbacks")):
+                             (self._compile_misses, "misses")):
             for labels, value in gauge.items():
                 if node is not None and labels.get("node") != node:
                     continue
@@ -186,13 +179,14 @@ class SmartNIC:
         host_handler: Optional[Callable[[Packet], None]] = None,
         rng=None,
         firmware_swap_seconds: float = 2.0,
-        use_fast_path: bool = True,
-        enable_memo: bool = True,
-        memo_entries: int = 1024,
         metrics: Optional[MetricsRegistry] = None,
-        engine: Optional[str] = None,
+        engine: str = "jit",
         shedder=None,
     ) -> None:
+        if engine not in ENGINE_TIERS:
+            raise ValueError(
+                f"unknown engine {engine!r} (choose from {ENGINE_TIERS})"
+            )
         if scheduler is None:
             if rng is None:
                 raise ValueError("UniformRandomScheduler requires an rng")
@@ -219,36 +213,17 @@ class SmartNIC:
         #: Service-seconds sitting in NPU run queues right now (cycle
         #: counts are known at dispatch, so this tally is exact).
         self._queued_service_seconds = 0.0
-        #: Reference interpreter — kept as the executable specification
-        #: (and the engine when ``engine="interpreter"``).
-        self.interpreter = Interpreter(clock_hz=clock_hz)
-        # Resolve the engine tier: the explicit ``engine`` knob wins;
-        # otherwise the legacy ``use_fast_path`` flag picks the fastest
-        # tier (jit) or the reference interpreter.
-        if engine is None:
-            engine = "jit" if use_fast_path else "interpreter"
-        if engine not in ENGINE_TIERS:
-            raise ValueError(
-                f"unknown engine {engine!r} (choose from {ENGINE_TIERS})"
-            )
         self.engine_tier = engine
-        self.use_fast_path = engine != "interpreter"
-        #: The execution engine for the resolved tier. "fastpath" is the
-        #: pre-decoded threaded-code engine; "jit" compiles each lambda
-        #: to Python source (falling back to fastpath per program). Both
-        #: are cycle- and result-identical to ``interpreter`` (proved by
-        #: tests/isa/test_fastpath.py and tests/isa/test_jit.py).
-        if engine == "jit":
-            self.engine = JitInterpreter(clock_hz=clock_hz)
-        elif engine == "fastpath":
-            self.engine = FastInterpreter(clock_hz=clock_hz)
-        else:
-            self.engine = self.interpreter
-        #: Result memoization is only sound with the compiled tiers,
-        #: which report whether an execution wrote persistent memory.
+        #: The execution engine: the reference interpreter (the
+        #: executable specification) or the JIT, which compiles each
+        #: lambda to Python source and is cycle- and result-identical to
+        #: it (proved by tests/isa/test_jit.py).
+        self.engine = (JitInterpreter(clock_hz=clock_hz) if engine == "jit"
+                       else Interpreter(clock_hz=clock_hz))
+        #: Result memoization, on exactly with the JIT: only it reports
+        #: whether an execution wrote persistent memory.
         self.memo: Optional[ExecutionMemoCache] = (
-            ExecutionMemoCache(memo_entries)
-            if (self.use_fast_path and enable_memo) else None
+            ExecutionMemoCache() if engine == "jit" else None
         )
 
         self.islands: List[Island] = []
@@ -576,60 +551,40 @@ class SmartNIC:
                  trace_tags: Optional[Dict[str, Any]] = None):
         """Run the firmware against one parsed request.
 
-        Uses the pre-decoded fast-path engine, consulting the execution
-        memo cache first: a pure execution of a byte-identical request
-        is replayed instead of re-interpreted. The key is computed from
-        the *pre-execution* inputs (the lambda mutates ``headers`` and
-        ``meta`` in place) and any execution that writes persistent
-        memory flushes the cache, so stateful lambdas never replay
-        stale results.
+        With the JIT, the execution memo cache is consulted first: a
+        pure execution of a byte-identical request is replayed instead
+        of re-run. The key is computed from the *pre-execution* inputs
+        (the lambda mutates ``headers`` and ``meta`` in place) and any
+        execution that writes persistent memory flushes the cache, so
+        stateful lambdas never replay stale results.
         """
         program = self.firmware.program
-        if not self.use_fast_path:
-            if trace_tags is not None:
-                trace_tags["engine"] = "interpreter"
-                trace_tags["memo"] = "off"
-            return self.interpreter.run(
-                program, headers=headers, meta=meta,
-                memory=self._lambda_memory,
-            )
         if trace_tags is not None:
             trace_tags["engine"] = self.engine_tier
             trace_tags["memo"] = "off" if self.memo is None else "miss"
         memo = self.memo
-        key = None
-        if memo is not None:
-            key = make_key(program, program.entry, headers, meta,
-                           self._payload_digest(packet))
-            cached = memo.get(key)
-            if cached is not None:
-                if trace_tags is not None:
-                    trace_tags["memo"] = "hit"
-                return cached
+        if memo is None:
+            return self.engine.run(
+                program, headers=headers, meta=meta,
+                memory=self._lambda_memory,
+            )
+        key = make_key(program, program.entry, headers, meta,
+                       self._payload_digest(packet))
+        cached = memo.get(key)
+        if cached is not None:
+            if trace_tags is not None:
+                trace_tags["memo"] = "hit"
+            return cached
         result, wrote_memory = self.engine.execute(
             program, headers=headers, meta=meta,
             memory=self._lambda_memory,
         )
-        if trace_tags is not None:
-            # The JIT may degrade to fastpath per program; report the
-            # tier that actually ran (memo hits keep the configured tier).
-            trace_tags["engine"] = getattr(
-                self.engine, "last_tier", self.engine_tier)
-        self._publish_compile_stats()
+        self.stats.record_compile_stats(self.engine_tier, self.engine.stats)
         if wrote_memory:
             self._state_written()
-        elif memo is not None:
+        else:
             memo.put(key, result)
         return result
-
-    def _publish_compile_stats(self) -> None:
-        """Mirror engine compile-cache counters into the metrics registry."""
-        stats = getattr(self.engine, "stats", None)
-        if stats is not None:
-            self.stats.record_compile_stats(self.engine_tier, stats)
-        fallback = getattr(self.engine, "fallback", None)
-        if fallback is not None and getattr(fallback, "stats", None) is not None:
-            self.stats.record_compile_stats("fastpath", fallback.stats)
 
     @staticmethod
     def _payload_digest(packet: Packet) -> Any:

@@ -1,11 +1,10 @@
 """Lambda-IR -> native Python JIT: per-lambda source code generation.
 
-The third (and fastest) execution tier. The reference
+The compiled execution engine. The reference
 :class:`~repro.isa.interpreter.Interpreter` decodes every instruction on
-every run; the :mod:`~repro.isa.fastpath` engine pre-decodes into
-threaded-code closures but still pays one Python call, one step-limit
-check, and several attribute lookups *per instruction*. This module
-removes that last per-instruction overhead by compiling a
+every run and pays one Python dispatch, one step-limit check, and
+several attribute lookups *per instruction*. This module removes that
+per-instruction overhead by compiling a
 :class:`~repro.isa.program.LambdaProgram` into real Python source:
 
 * one generated Python function per lambda IR function;
@@ -22,25 +21,27 @@ removes that last per-instruction overhead by compiling a
   instruction-by-instruction when an execution actually crosses the
   limit — so the raise happens at the exact instruction, after the
   exact persistent-memory side effects, with the exact message;
-* the source is ``compile()``d once per program and cached next to the
-  fastpath compile cache (weakly keyed, signature-guarded).
+* the source is ``compile()``d once per program and cached (weakly
+  keyed, guarded by :func:`program_signature`).
 
 Semantics are **cycle-exact and verdict-identical** to the reference
 interpreter — including error messages, region-access accounting,
 persistent-memory-write tracking for the NIC's memo cache, and the step
-limit — proven by the same differential harness the fastpath uses
-(``tests/isa/test_jit.py`` plus the hypothesis fuzz suite).
+limit — proven by the differential harness (``tests/isa/test_jit.py``
+plus the hypothesis fuzz suite).
 
-Programs the JIT cannot lower (unknown opcodes, CFGs the verifier's
-fixpoint cannot settle) transparently fall back to the fastpath engine;
-fallbacks are counted in :class:`CompileCacheStats` so the tier split
-stays observable.
+A program the JIT cannot lower raises :class:`JitLoweringError` from
+:meth:`JitInterpreter.execute`; there is no silent degradation to a
+slower engine. Every registered workload lowers (the differential suite
+checks it), and the reference interpreter stays selectable on the NIC
+as ``engine="interpreter"``.
 """
 
 from __future__ import annotations
 
 import math
 import weakref
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -51,18 +52,14 @@ from .instructions import (
     REGION_ACCESS_CYCLES,
     is_register,
 )
-from .fastpath import (
-    CompileCacheStats,
-    FastInterpreter,
-    FastState,
-    program_signature,
-)
 from .interpreter import (
     BULK_BURST_BYTES,
     DEFAULT_STEP_LIMIT,
     EmittedPacket,
     ExecutionError,
     ExecutionResult,
+    Machine,
+    VERDICT_FALLTHROUGH,
     _ALU_OPS,
     _BRANCH_OPS,
     _INTRINSICS,
@@ -75,8 +72,69 @@ from .verify.intervals import interval_states
 
 
 class JitLoweringError(Exception):
-    """The program uses a construct the JIT cannot lower (the engine
-    falls back to the fastpath tier for such programs)."""
+    """The program uses a construct the JIT cannot lower.
+
+    Raised by :meth:`JitInterpreter.execute` (and so by a SmartNIC
+    serving the program): a lowering failure is a bug to surface, not a
+    reason to run on a different engine.
+    """
+
+
+@dataclass
+class CompileCacheStats:
+    """Compile-cache counters of one :class:`JitInterpreter`."""
+
+    hits: int = 0    # lookups answered by a live compilation
+    misses: int = 0  # compilations (first-time or staleness recompiles)
+
+    @property
+    def lookups(self) -> int:
+        return self.hits + self.misses
+
+
+def program_signature(program: LambdaProgram) -> Tuple:
+    """Cheap structural fingerprint used to detect stale compilations.
+
+    Catches the mutations that actually occur in this codebase —
+    optimisation passes changing function bodies and memory
+    stratification moving objects between regions. (In-place
+    same-length instruction surgery is not detected; recompile
+    explicitly after such edits.)
+    """
+    return (
+        tuple((name, len(fn.body)) for name, fn in program.functions.items()),
+        tuple((name, obj.region) for name, obj in program.objects.items()),
+        program.entry,
+    )
+
+
+class FastState(Machine):
+    """Machine state plus the accounting the reference loop keeps in
+    local variables.
+
+    Subclassing :class:`Machine` keeps intrinsics working unchanged —
+    they receive this state object and use the same ``read`` /
+    ``memory`` / ``meta`` API as under the reference interpreter.
+    """
+
+    def __init__(
+        self,
+        program: LambdaProgram,
+        headers: Optional[Dict[str, Dict[str, Any]]],
+        meta: Optional[Dict[str, Any]],
+        memory: Optional[Dict[str, bytearray]],
+        step_limit: int,
+    ) -> None:
+        super().__init__(program, headers, meta, memory)
+        self.cycles = 0
+        self.executed = 0
+        self.region_accesses: Dict[Any, int] = {}
+        self.verdict = VERDICT_FALLTHROUGH
+        self.return_value: Any = None
+        self.step_limit = step_limit
+        #: Set by stores, memcpy and memory-writing intrinsics; the memo
+        #: cache treats such executions as invalidation points.
+        self.wrote_memory = False
 
 
 #: Block id sentinel meaning "fall off the end of the function".
@@ -940,54 +998,42 @@ def compile_jit(program: LambdaProgram) -> JitProgram:
 class JitInterpreter:
     """Drop-in engine executing JIT-compiled lambda programs.
 
-    Mirrors the :class:`~repro.isa.fastpath.FastInterpreter` interface
-    (``execute``/``run``/``compiled_for``) with the same weakly-keyed,
-    signature-guarded compile cache. Programs that fail to lower fall
-    back — permanently, until their structure changes — to an internal
-    fastpath engine; :attr:`stats` counts hits/misses/fallbacks so the
-    NIC can surface tier behaviour as metrics.
+    Interpreter-compatible (``run``) plus ``execute``, which also
+    reports whether the run wrote persistent memory. Compilations are
+    cached per program — weakly keyed, so discarded programs free their
+    code, and guarded by :func:`program_signature`, so optimiser passes
+    or memory stratification after compilation trigger a recompile.
+    :attr:`stats` counts cache hits and misses.
     """
-
-    tier = "jit"
 
     def __init__(self, clock_hz: float = 633e6,
                  step_limit: int = DEFAULT_STEP_LIMIT) -> None:
         self.clock_hz = clock_hz
         self.step_limit = step_limit
         self.stats = CompileCacheStats()
-        #: The fallback tier for programs the JIT cannot lower.
-        self.fallback = FastInterpreter(clock_hz=clock_hz,
-                                        step_limit=step_limit)
         self._compiled: "weakref.WeakKeyDictionary[LambdaProgram, Tuple]" = (
             weakref.WeakKeyDictionary()
         )
-        #: Tier that served the most recent execute() call.
-        self.last_tier = "jit"
 
-    def compiled_for(self, program: LambdaProgram) -> Optional[JitProgram]:
-        """The cached compilation (None when the program fell back)."""
+    def compiled_for(self, program: LambdaProgram) -> JitProgram:
+        """The cached compilation of ``program`` (recompiled if stale).
+
+        Raises :class:`JitLoweringError` if the program cannot be
+        lowered; nothing is cached then, so every execution re-raises.
+        """
         entry = self._compiled.get(program)
         signature = program_signature(program)
         if entry is not None and entry[0] == signature:
             self.stats.hits += 1
             return entry[1]
         self.stats.misses += 1
-        try:
-            compiled: Optional[JitProgram] = JitProgram(program)
-        except Exception:
-            # Any lowering failure degrades to the (differentially
-            # proven) fastpath tier rather than breaking execution; the
-            # JIT test suite asserts zero fallbacks on all registered
-            # workloads so codegen regressions still surface in CI.
-            compiled = None
-            self.stats.fallbacks += 1
+        compiled = JitProgram(program)
         self._compiled[program] = (signature, compiled)
         return compiled
 
-    def dump_source(self, program: LambdaProgram) -> Optional[str]:
-        """Generated Python source for ``program`` (None on fallback)."""
-        compiled = self.compiled_for(program)
-        return compiled.source if compiled is not None else None
+    def dump_source(self, program: LambdaProgram) -> str:
+        """Generated Python source for ``program``."""
+        return self.compiled_for(program).source
 
     def execute(
         self,
@@ -999,11 +1045,6 @@ class JitInterpreter:
     ) -> Tuple[ExecutionResult, bool]:
         """Run to completion; returns (result, wrote_persistent_memory)."""
         compiled = self.compiled_for(program)
-        if compiled is None:
-            self.last_tier = "fastpath"
-            return self.fallback.execute(program, headers, meta, memory,
-                                         entry)
-        self.last_tier = "jit"
         st = FastState(program, headers, meta, memory, self.step_limit)
         compiled.entry(entry or program.entry)(st)
         result = ExecutionResult(
@@ -1039,6 +1080,7 @@ def _main(argv: Optional[List[str]] = None) -> int:
     registered workload — the ``--dump-source`` debugging path.
     """
     import argparse
+    import sys
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.isa.jit",
@@ -1071,14 +1113,16 @@ def _main(argv: Optional[List[str]] = None) -> int:
     if not programs:
         parser.error("nothing to compile: pass .asm files or --workload")
 
+    status = 0
     for program in programs:
         try:
             compiled = JitProgram(program)
         except JitLoweringError as error:
-            print(f"# {program.name}: fallback to fastpath ({error})")
+            print(f"{program.name}: cannot lower: {error}", file=sys.stderr)
+            status = 1
             continue
         print(compiled.source)
-    return 0
+    return status
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via CLI

@@ -18,7 +18,6 @@ from .link import Link, LinkStats
 from .network import Network, Node, TEN_GBPS
 from .packet import DEADLINE_META, Packet, reset_packet_ids
 from .switch import Switch
-from .trace import PacketTracer, TraceRecord
 
 __all__ = [
     "DEADLINE_META",
@@ -32,7 +31,6 @@ __all__ = [
     "Network",
     "Node",
     "Packet",
-    "PacketTracer",
     "RdmaHeader",
     "RpcHeader",
     "STANDARD_HEADERS",
@@ -40,7 +38,6 @@ __all__ = [
     "Switch",
     "TCPHeader",
     "TEN_GBPS",
-    "TraceRecord",
     "UDPHeader",
     "header_class",
     "reset_packet_ids",

@@ -1,16 +1,16 @@
 """Differential suite: the JIT source-codegen engine vs the reference.
 
-The JIT tier must be *indistinguishable* from the reference interpreter
-(and therefore from the fastpath tier): same verdicts, return values,
-cycle counts, instruction counts, region-access profiles, emitted
-packets, header/meta mutations, response payloads, persistent-memory
-effects — and the same errors with the same messages. These tests reuse
-the fastpath differential harness shape: seeded fuzzed request streams
-over every registered workload (and the composed multi-lambda
-firmware), plus targeted cases for the paths where source codegen is
-structured differently from both interpreters (segment-folded step
-checks, register spills around calls, constant-folded branches, the
-fastpath fallback).
+The JIT must be *indistinguishable* from the reference interpreter:
+same verdicts, return values, cycle counts, instruction counts,
+region-access profiles, emitted packets, header/meta mutations,
+response payloads, persistent-memory effects — and the same errors with
+the same messages. These tests check that property-style: seeded fuzzed
+request streams over every registered workload (and the composed
+multi-lambda firmware), plus targeted cases for the paths where source
+codegen is structured differently from the interpreter (segment-folded
+step checks, register spills around calls, constant-folded branches,
+staleness after program mutation) and for lowering failures, which
+raise a typed error instead of running on another engine.
 """
 
 import copy
@@ -20,6 +20,7 @@ from dataclasses import asdict
 import pytest
 
 from repro.compiler import CompilationUnit, compile_unit
+from repro.hw import SmartNIC
 from repro.isa import (
     Interpreter,
     JitInterpreter,
@@ -30,6 +31,16 @@ from repro.isa import (
     program_signature,
 )
 import repro.isa.jit as jit_module
+from repro.net import (
+    EthernetHeader,
+    HeaderStack,
+    IPv4Header,
+    LambdaHeader,
+    Network,
+    Packet,
+    UDPHeader,
+)
+from repro.sim import Environment
 from repro.workloads.registry import fig9_workloads, standard_workloads
 
 
@@ -115,9 +126,8 @@ def test_every_workload_differentially(key):
         assert ref == jt, f"{key}: {ref} != {jt}"
     # Persistent state evolved identically across the whole sequence.
     assert ref_memory == jit_memory
-    # Every registered workload must lower — no silent tier degradation.
-    assert jit.stats.fallbacks == 0
-    assert jit.last_tier == "jit"
+    # Every registered workload lowered: one compilation, then hits.
+    assert jit.stats.misses == 1
 
 
 @pytest.mark.parametrize("optimize", [False, True])
@@ -133,7 +143,7 @@ def test_composed_firmware_differentially(optimize):
                            jit_memory, reference, jit)
         assert ref == jt
     assert ref_memory == jit_memory
-    assert jit.stats.fallbacks == 0
+    assert jit.stats.misses == 1
 
 
 def build(body_fn, objects=(), name="test"):
@@ -360,7 +370,6 @@ def test_compile_cache_stats():
     assert jit.compiled_for(program) is first
     assert jit.stats.misses == 1
     assert jit.stats.hits >= 2
-    assert jit.stats.fallbacks == 0
     assert jit.stats.lookups == jit.stats.hits + jit.stats.misses
     # A structural change forces a recompile (one more miss).
     fn = program.functions["test"]
@@ -371,25 +380,59 @@ def test_compile_cache_stats():
         jit._compiled[program][0]
 
 
-def test_fallback_to_fastpath(monkeypatch):
-    """Lowering failures degrade to the fastpath tier, identically."""
-    program = build(lambda f: f.mov("r0", 7).ret("r0"))
-
-    def explode(prog):
+def _forbid_lowering(monkeypatch):
+    def explode(program):
         raise jit_module.JitLoweringError("forced for test")
 
     monkeypatch.setattr(jit_module, "JitProgram", explode)
+
+
+def test_lowering_failure_raises_typed_error(monkeypatch):
+    """A program the JIT cannot lower raises JitLoweringError from
+    execute(); nothing is cached, so every execution re-raises."""
+    program = build(lambda f: f.mov("r0", 7).ret("r0"))
+    _forbid_lowering(monkeypatch)
     jit = JitInterpreter()
-    result, wrote = jit.execute(program, headers={}, meta={})
-    assert result.return_value == 7
-    assert wrote is False
-    assert jit.last_tier == "fastpath"
-    assert jit.stats.fallbacks == 1
-    assert jit.dump_source(program) is None
-    # The failure is cached: no recompile attempt per request.
-    jit.execute(program, headers={}, meta={})
-    assert jit.stats.fallbacks == 1
-    assert jit.stats.hits >= 1
+    for _ in range(2):
+        with pytest.raises(jit_module.JitLoweringError, match="forced"):
+            jit.execute(program, headers={}, meta={})
+    assert (jit.stats.hits, jit.stats.misses) == (0, 2)
+    with pytest.raises(jit_module.JitLoweringError):
+        jit.dump_source(program)
+
+
+def test_lowering_failure_propagates_from_a_serving_nic(monkeypatch):
+    """A SmartNIC serving an unlowerable program makes env.run() raise
+    the lowering error instead of hanging or answering from another
+    engine."""
+    env = Environment()
+    network = Network(env)
+    client = network.add_node("client")
+    nic = SmartNIC(env, network.add_node("nic"), n_cores=1,
+                   threads_per_core=1, rng=random.Random(1))
+    unit = CompilationUnit()
+    unit.add_lambda(all_workload_programs()["std:web_server"], wid=1)
+    nic.install_firmware(compile_unit(unit))
+    client.attach(lambda packet: None)
+    _forbid_lowering(monkeypatch)
+    client.send(Packet("client", "nic", HeaderStack([
+        EthernetHeader(), IPv4Header(), UDPHeader(),
+        LambdaHeader(wid=1, request_id=1)])))
+    with pytest.raises(jit_module.JitLoweringError, match="forced"):
+        env.run()
+
+
+def test_unknown_engine_is_rejected():
+    env = Environment()
+    node = Network(env).add_node("nic")
+    with pytest.raises(ValueError, match="unknown engine"):
+        SmartNIC(env, node, rng=random.Random(1), engine="fastpath")
+
+
+def test_cli_reports_lowering_failure(monkeypatch, capsys):
+    _forbid_lowering(monkeypatch)
+    assert jit_module._main(["--workload", "web_server"]) == 1
+    assert "cannot lower: forced for test" in capsys.readouterr().err
 
 
 def test_alternate_entry_point_parity():
@@ -482,7 +525,6 @@ def test_const_length_memcpy_folds_to_slice_and_stays_cycle_exact():
     ref, jt = run_both(program, {}, {}, ref_memory, jit_memory, jit=jit)
     assert ref == jt
     assert ref_memory == jit_memory
-    assert jit.stats.fallbacks == 0
     compiled = jit.compiled_for(program)
     # The burst loop is gone: cycles folded into the segment constant,
     # the copy lowered to one slice assignment with no range check.
@@ -502,7 +544,6 @@ def test_proven_memcpy_elides_checks_differentially():
                            jit=jit)
         assert ref == jt, f"request_id={request_id}: {ref} != {jt}"
     assert ref_memory == jit_memory
-    assert jit.stats.fallbacks == 0
     compiled = jit.compiled_for(program)
     assert compiled.lowering_stats["memcpy_checks_elided"] == 1
     # Dynamic length: the burst charge must stay in the generated code.

@@ -1,90 +1,36 @@
-"""Tests for the packet tracer."""
+"""Following one request's packets through the testbed with obs spans."""
 
-import pytest
-
-from repro.net import HeaderStack, LambdaHeader, Network, Packet, PacketTracer, UDPHeader
+from repro.obs import spans_by_trace
 from repro.serverless import Testbed, closed_loop
-from repro.sim import Environment
 from repro.workloads import kv_client_spec
-
-
-def test_tracer_records_rx_and_tx():
-    env = Environment()
-    network = Network(env)
-    a = network.add_node("a")
-    b = network.add_node("b")
-    a.attach(lambda p: None)
-    b.attach(lambda p: None)
-    tracer = PacketTracer(env)
-    tracer.attach_to_network(network)
-
-    a.send(Packet("a", "b", HeaderStack([UDPHeader(),
-                                         LambdaHeader(wid=3, request_id=9)]),
-                  payload_bytes=50))
-    env.run()
-    assert tracer.summary() == {"a:tx": 1, "b:rx": 1}
-    tx = tracer.filter(node="a", direction="tx")[0]
-    assert tx.wid == 3 and tx.request_id == 9
-    assert "Lambda" in tx.headers
-    assert "us" in tx.format()
 
 
 def test_tracer_flow_follows_request_through_testbed():
     """Trace a kv request: gateway -> NIC -> memcached -> NIC -> gateway."""
-    tb = Testbed(seed=51, n_workers=1)
+    tb = Testbed(seed=51, n_workers=1, with_tracing=True)
     tb.add_lambda_nic_backend()
-    tracer = PacketTracer(tb.env)
 
     def scenario(env):
         yield tb.manager.deploy(kv_client_spec(), "lambda-nic")
-        tracer.attach_to_network(tb.network)  # after all nodes exist
         yield closed_loop(tb.env, tb.gateway, "kv_client", n_requests=1)
 
     process = tb.env.process(scenario(tb.env))
     tb.run(until=process)
 
-    records = tracer.records
-    nodes_in_order = [record.node for record in records
-                      if record.direction == "rx"]
-    # The request visited the NIC, then memcached, then the NIC again,
-    # and the response came back to the gateway (m1).
+    # The one request is one trace, rooted at the gateway (m1).
+    (spans,) = spans_by_trace(tb.tracer.spans).values()
+    spans.sort(key=lambda span: (span.start, span.span_id))
+    assert spans[0].name == "gateway.request" and spans[0].node == "m1"
+
+    # Each net.link span is named "src->dst": the receivers, in order,
+    # show the NIC, then memcached, then the NIC again, and the
+    # response coming back to the gateway.
     nic_name = tb.nics[0].name
-    assert nodes_in_order[0] == nic_name
-    assert "memcached" in nodes_in_order
-    assert nodes_in_order[-1] == "m1"
-    # The whole flow shares the gateway's request id end to end.
-    request_id = records[0].request_id
-    flow = tracer.flow(request_id)
-    assert len(flow) >= 4
-
-
-def test_tracer_bounded():
-    env = Environment()
-    network = Network(env)
-    a = network.add_node("a")
-    b = network.add_node("b")
-    b.attach(lambda p: None)
-    a.attach(lambda p: None)
-    tracer = PacketTracer(env, max_records=3)
-    tracer.attach_to(a)
-    for index in range(10):
-        a.send(Packet("a", "b", HeaderStack([UDPHeader()]), payload_bytes=8))
-    env.run()
-    assert len(tracer.records) == 3
-    assert tracer.dropped_records == 7
-
-
-def test_tracer_filter_predicate():
-    env = Environment()
-    network = Network(env)
-    a = network.add_node("a")
-    b = network.add_node("b")
-    b.attach(lambda p: None)
-    a.attach(lambda p: None)
-    tracer = PacketTracer(env)
-    tracer.attach_to(a)
-    a.send(Packet("a", "b", HeaderStack([UDPHeader()]), payload_bytes=10))
-    a.send(Packet("a", "b", HeaderStack([UDPHeader()]), payload_bytes=2000))
-    env.run()
-    big = tracer.filter(predicate=lambda record: record.size_bytes > 1000)
-    assert len(big) == 1
+    receivers = [span.node.split("->")[1] for span in spans
+                 if span.name == "net.link"]
+    hops = [node for node in receivers if node != "switch"]
+    assert hops == [nic_name, "memcached", nic_name, "m1"]
+    served = [(span.name, span.node) for span in spans
+              if span.name in ("nic.serve", "kv.serve")]
+    assert served == [("nic.serve", nic_name), ("kv.serve", "memcached"),
+                      ("nic.serve", nic_name)]

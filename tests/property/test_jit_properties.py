@@ -3,8 +3,10 @@
 Hypothesis drives random packet headers/meta through every registered
 workload on both the reference interpreter and the JIT engine and
 requires byte-identical results — verdicts, cycles, region-access
-profiles, emitted packets, mutated headers/meta, persistent-memory
-contents, and the memory-write flag the memo cache keys off. A second
+profiles, emitted packets, mutated headers/meta and persistent-memory
+contents — and checks the memory-write flag the memo cache keys off
+(sound against the reference's memory, and only raised by programs
+that contain a memory-writing instruction). A second
 group proves memo soundness at the NIC level: JIT-executed writes
 invalidate the memo cache and bump the state epoch, while pure repeats
 replay from it.
@@ -18,7 +20,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.isa import FastInterpreter, Interpreter, JitInterpreter
+from repro.isa import (
+    Interpreter,
+    JitInterpreter,
+    Op,
+    intrinsic_writes_memory,
+)
 from repro.serverless import Testbed, closed_loop
 from repro.workloads import web_server_spec
 from repro.workloads.registry import fig9_workloads, standard_workloads
@@ -54,6 +61,19 @@ packet_meta = st.fixed_dictionaries({
 })
 
 
+def may_write_memory(program):
+    """Static bound on the wrote-memory flag: the program contains a
+    STORE, STORED, MEMCPY or memory-writing intrinsic."""
+    for function in program.functions.values():
+        for instruction in function.body:
+            if instruction.op in (Op.STORE, Op.STORED, Op.MEMCPY):
+                return True
+            if (instruction.op is Op.INTRINSIC
+                    and intrinsic_writes_memory(instruction.args[0])):
+                return True
+    return False
+
+
 def outcome(engine, program, headers, meta, memory):
     """(result-or-error, wrote_memory) for one engine run."""
     try:
@@ -77,26 +97,31 @@ def outcome(engine, program, headers, meta, memory):
 def test_jit_matches_reference_on_random_packets(key, headers, meta,
                                                  memory_seed):
     """Random packets, random pre-seeded persistent state: the JIT is
-    byte-identical to the reference (results, errors, memory, and the
-    wrote-memory flag agrees with the fastpath tier's)."""
+    byte-identical to the reference (results, errors, memory), and its
+    wrote-memory flag is sound and statically bounded."""
     program = program_for(key)
     rng = random.Random(memory_seed)
     ref_memory = {
         obj.name: bytearray(rng.randrange(256) for _ in range(obj.size_bytes))
         for obj in program.objects.values()
     }
+    before = {k: bytes(v) for k, v in ref_memory.items()}
     jit_memory = {k: bytearray(v) for k, v in ref_memory.items()}
-    fast_memory = {k: bytearray(v) for k, v in ref_memory.items()}
 
+    # Every registered workload lowers: a JitLoweringError fails here.
     jit = JitInterpreter()
+    jit.compiled_for(program)
     ref, _ = outcome(Interpreter(), program, headers, meta, ref_memory)
     jt, jit_wrote = outcome(jit, program, headers, meta, jit_memory)
-    fast, fast_wrote = outcome(FastInterpreter(), program, headers, meta,
-                               fast_memory)
     assert ref == jt, f"{key}: {ref} != {jt}"
     assert ref_memory == jit_memory
-    assert jit_wrote == fast_wrote
-    assert jit.stats.fallbacks == 0
+    if jt[0] == "ok":
+        # Soundness: a run that changed persistent memory says so.
+        if ref_memory != before:
+            assert jit_wrote
+        # Static bound: only a memory-writing instruction raises it.
+        if jit_wrote:
+            assert may_write_memory(program)
 
 
 def _jit_nic(builder_fn, name):
@@ -184,8 +209,8 @@ def test_jit_write_through_execution_bumps_epoch():
 
 
 def test_jit_serves_gateway_traffic_end_to_end():
-    """The default (JIT) tier serves real gateway traffic and reports
-    compile-cache stats with zero fallbacks."""
+    """The default (JIT) engine serves real gateway traffic and reports
+    its compile-cache stats."""
     tb = Testbed(seed=11, n_workers=1, nic_kwargs={"engine": "jit"})
     tb.add_lambda_nic_backend()
     spec = web_server_spec()
@@ -201,6 +226,5 @@ def test_jit_serves_gateway_traffic_end_to_end():
     assert process.value.completed == 12
     nic = tb.nics[0]
     stats = nic.stats.compile_cache_stats()
-    assert stats["jit"]["fallbacks"] == 0
     assert stats["jit"]["misses"] == 1  # one firmware, compiled once
     assert stats["jit"]["hits"] >= 11
