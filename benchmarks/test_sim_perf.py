@@ -23,7 +23,7 @@ def test_sim_perf(benchmark, config):
         perf.collect, args=(config,), rounds=1, iterations=1,
     )
     print()
-    print(perf.run(config).format())
+    print(perf.report(metrics).format())
 
     for key in ("reference_exec_per_s", "jit_exec_per_s",
                 "jit_speedup_over_reference", "memo_replay_per_s",

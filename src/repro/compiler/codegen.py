@@ -16,7 +16,6 @@ from ..isa import INSTRUCTION_BYTES, LambdaProgram, Region
 from ..isa.verify import (
     MAX_INSTRUCTIONS_PER_CORE,
     VerifierReport,
-    VerifyOptions,
     verify_program,
 )
 from .passes import EXTENDED_PASSES
@@ -92,7 +91,7 @@ class Firmware:
     #: Data bytes placed per memory region.
     region_layout: Dict[Region, int] = field(default_factory=dict)
     #: Static-verification result for the composed program (always
-    #: error-free when compilation succeeded in strict mode).
+    #: error-free: compilation fails on any error-grade finding).
     verifier_report: Optional[VerifierReport] = None
 
     @property
@@ -137,22 +136,21 @@ class Firmware:
             raise KeyError(f"firmware has no lambda {lambda_name!r}") from None
 
 
-def check_resources(program: LambdaProgram,
-                    strict: bool = True) -> VerifierReport:
+def check_resources(program: LambdaProgram) -> VerifierReport:
     """Statically verify the firmware and enforce the NIC's hard limits.
 
     Runs the full :mod:`repro.isa.verify` pipeline — instruction store,
     memory bounds/isolation, uninitialized reads, loop bounds, WCET —
-    and returns the report. With ``strict`` (the default), any
-    error-grade finding aborts compilation: firmware that would fault
-    or run unbounded on the NIC is never flashed.
+    and returns the report. Any error-grade finding aborts compilation:
+    firmware that would fault or run unbounded on the NIC is never
+    flashed.
     """
-    report = verify_program(program, VerifyOptions())
+    report = verify_program(program)
     if program.data_bytes + FIRMWARE_BASE_BYTES > NIC_MEMORY_BYTES:
         raise CompileError(
             f"firmware data ({program.data_bytes} B) exceeds NIC memory"
         )
-    if strict and not report.ok:
+    if not report.ok:
         first = report.errors[0]
         raise CompileError(
             f"firmware failed verification with {len(report.errors)} "

@@ -221,8 +221,11 @@ def collect(config: Optional[ExperimentConfig] = None) -> Dict[str, Any]:
 
 def run(config: Optional[ExperimentConfig] = None) -> ExperimentReport:
     """Perf benchmark as a standard experiment report."""
-    config = config or DEFAULT_CONFIG
-    metrics = collect(config)
+    return report(collect(config))
+
+
+def report(metrics: Dict[str, Any]) -> ExperimentReport:
+    """Format a :func:`collect` result as an experiment report."""
     rows = [
         ["reference interpreter (exec/s)",
          metrics["reference_exec_per_s"], "baseline"],

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..isa.verify import verify_program
 from ..serverless.admission import NIC_CLOCK_HZ, AdmissionError, AdmissionPolicy
 from ..workloads import standard_workloads
 from .calibration import DEFAULT_CONFIG, ExperimentConfig
@@ -27,19 +26,19 @@ def run(config: Optional[ExperimentConfig] = None) -> ExperimentReport:
     policy = AdmissionPolicy()
     rows = []
     for name, spec in sorted(standard_workloads().items()):
-        program = spec.nic_program()
-        report = verify_program(program)
         try:
             decision = policy.evaluate(spec, "lambda-nic",
                                        available_kinds=AVAILABLE_KINDS)
             outcome = decision.reason
             backend = decision.admitted_kind
-        except AdmissionError:
+            report = decision.report
+        except AdmissionError as exc:
             outcome, backend = "rejected", "-"
+            report = exc.report
         wcet = report.wcet_cycles
         rows.append([
             name,
-            program.instruction_count,
+            report.instruction_count,
             "ok" if report.ok else "rejected",
             len(report.warnings),
             wcet if wcet is not None else "unbounded",

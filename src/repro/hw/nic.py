@@ -111,33 +111,16 @@ class NicStats:
             "nic_latency_seconds", "on-NIC serve latency")
         self._per_lambda = self.registry.counter(
             "nic_lambda_requests_total", "requests served per lambda")
-        # JIT compile-cache statistics. The counters live on the engine
-        # (CompileCacheStats); these gauges mirror the current totals
-        # into the registry so compile behaviour is observable in scrapes.
-        self._compile_hits = self.registry.gauge(
-            "nic_compile_cache_hits", "compile-cache hits per engine tier")
-        self._compile_misses = self.registry.gauge(
-            "nic_compile_cache_misses",
-            "compile-cache misses (compilations) per engine tier")
-
-    def record_compile_stats(self, tier: str, stats) -> None:
-        """Mirror an engine's CompileCacheStats into the registry."""
-        labels = dict(self.labels or {})
-        labels["tier"] = tier
-        self._compile_hits.set(float(stats.hits), labels)
-        self._compile_misses.set(float(stats.misses), labels)
+        #: The JIT's own CompileCacheStats, attached by the NIC; None
+        #: with the reference interpreter, which compiles nothing.
+        self.jit_compile_stats = None
 
     def compile_cache_stats(self) -> Dict[str, Dict[str, int]]:
         """Per-tier compile-cache totals as plain dicts (tests/REPL)."""
-        node = (self.labels or {}).get("node")
-        out: Dict[str, Dict[str, int]] = {}
-        for gauge, field in ((self._compile_hits, "hits"),
-                             (self._compile_misses, "misses")):
-            for labels, value in gauge.items():
-                if node is not None and labels.get("node") != node:
-                    continue
-                out.setdefault(labels["tier"], {})[field] = int(value)
-        return out
+        stats = self.jit_compile_stats
+        if stats is None:
+            return {}
+        return {"jit": {"hits": stats.hits, "misses": stats.misses}}
 
     @property
     def latencies(self) -> List[float]:
@@ -220,6 +203,8 @@ class SmartNIC:
         #: it (proved by tests/isa/test_jit.py).
         self.engine = (JitInterpreter(clock_hz=clock_hz) if engine == "jit"
                        else Interpreter(clock_hz=clock_hz))
+        if engine == "jit":
+            self.stats.jit_compile_stats = self.engine.stats
         #: Result memoization, on exactly with the JIT: only it reports
         #: whether an execution wrote persistent memory.
         self.memo: Optional[ExecutionMemoCache] = (
@@ -579,7 +564,6 @@ class SmartNIC:
             program, headers=headers, meta=meta,
             memory=self._lambda_memory,
         )
-        self.stats.record_compile_stats(self.engine_tier, self.engine.stats)
         if wrote_memory:
             self._state_written()
         else:

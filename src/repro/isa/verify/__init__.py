@@ -62,11 +62,7 @@ from .intervals import (
 )
 from .memcheck import check_memory, region_footprint
 from .report import Finding, Severity, VerifierReport
-from .verifier import (
-    MAX_INSTRUCTIONS_PER_CORE,
-    VerifyOptions,
-    verify_program,
-)
+from .verifier import MAX_INSTRUCTIONS_PER_CORE, verify_program
 from .wcet import LoopInfo, WcetResult, estimate_wcet, find_loops
 
 __all__ = [
@@ -94,7 +90,6 @@ __all__ = [
     "Severity",
     "TERMINATOR_OPS",
     "VerifierReport",
-    "VerifyOptions",
     "WcetResult",
     "build_cfg",
     "check_memory",

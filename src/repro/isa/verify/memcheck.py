@@ -203,15 +203,12 @@ def check_memory(
     program: LambdaProgram,
     consts: Optional[Dict[str, ConstantStates]] = None,
     ranges: Optional[Dict[str, IntervalStates]] = None,
-    use_intervals: bool = True,
 ) -> List[Finding]:
     """All memory-safety findings for ``program``.
 
     ``consts`` and ``ranges`` may supply precomputed per-function
     constant / interval states (keyed by function name) to avoid
-    re-solving; missing entries are computed on demand. With
-    ``use_intervals=False`` no interval analysis runs and offsets that
-    constant propagation cannot pin stay ``unknown-offset`` warnings.
+    re-solving; missing entries are computed on demand.
     """
     findings: List[Finding] = []
     consts = dict(consts) if consts else {}
@@ -223,15 +220,11 @@ def check_memory(
             analysis = constant_states(function)
             consts[name] = analysis
         intervals = ranges.get(name)
-        if intervals is None and use_intervals:
+        if intervals is None:
             intervals = interval_states(function, cfg=analysis.cfg,
                                         program=program)
             ranges[name] = intervals
-
-        def range_of(index: int, operand: Any):
-            if intervals is None:
-                return None
-            return intervals.range_before(index, operand)
+        range_of = intervals.range_before
 
         for index, instruction in enumerate(function.body):
             op = instruction.op

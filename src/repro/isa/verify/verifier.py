@@ -10,13 +10,11 @@ lint-grade.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict
 
 from ..instructions import Op
 from ..program import LambdaProgram
 from .analyses import (
-    ALL_REGISTERS,
     ConstantStates,
     _reachable_from,
     constant_states,
@@ -35,48 +33,17 @@ from .wcet import estimate_wcet
 MAX_INSTRUCTIONS_PER_CORE = 16 * 1024
 
 
-@dataclass
-class VerifyOptions:
-    """Knobs for :func:`verify_program`."""
+def verify_program(program: LambdaProgram) -> VerifierReport:
+    """Statically verify ``program`` and return the full report.
 
-    #: Entry function; defaults to the program's declared entry.
-    entry: Optional[str] = None
-    #: Registers exempt from dead-store / uninitialized-read findings;
-    #: defaults to the program's declared ``scratch_registers``.
-    scratch: Optional[FrozenSet[str]] = None
-    #: Registers assumed live after the entry function returns.
-    #: ``ALL_REGISTERS`` is the safe default for a fragment that will be
-    #: composed into larger firmware; a standalone whole program (whose
-    #: exits all end the machine) is unaffected by this value.
-    entry_exit_live: FrozenSet[str] = ALL_REGISTERS
-    check_uninitialized: bool = True
-    check_dead_stores: bool = True
-    check_memory: bool = True
-    check_wcet: bool = True
-    #: Run the interval (value-range) analysis and let memcheck / WCET
-    #: consume it. Off, the verifier reproduces its pre-interval
-    #: behavior exactly — the admission differential guard compares
-    #: the two.
-    use_intervals: bool = True
-    #: Extra caller-supplied metadata-key ranges seeding the interval
-    #: analysis (key -> inclusive (lo, hi)).
-    meta_ranges: Optional[Dict[str, Tuple[int, int]]] = None
-    max_instructions: int = MAX_INSTRUCTIONS_PER_CORE
-
-
-def _program_scratch(program: LambdaProgram) -> FrozenSet[str]:
-    return frozenset(getattr(program, "scratch_registers", ()) or ())
-
-
-def verify_program(
-    program: LambdaProgram,
-    options: Optional[VerifyOptions] = None,
-) -> VerifierReport:
-    """Statically verify ``program`` and return the full report."""
-    options = options or VerifyOptions()
-    entry = options.entry or program.entry
-    scratch = options.scratch if options.scratch is not None \
-        else _program_scratch(program)
+    Registers in the program's declared ``scratch_registers`` are exempt
+    from dead-store and uninitialized-read findings. Every register is
+    assumed live after the entry returns, which is safe for a fragment
+    that will be composed into larger firmware and does not change the
+    findings of a standalone whole program.
+    """
+    entry = program.entry
+    scratch = program.scratch_registers
 
     report = VerifierReport(
         program=program.name,
@@ -100,13 +67,13 @@ def verify_program(
         ))
 
     # 2. Instruction store.
-    if report.instruction_count > options.max_instructions:
+    if report.instruction_count > MAX_INSTRUCTIONS_PER_CORE:
         findings.append(Finding(
             severity=Severity.ERROR,
             code="instr-overflow",
             message=(
                 f"{report.instruction_count} instructions exceed the "
-                f"core's {options.max_instructions}-instruction store"
+                f"core's {MAX_INSTRUCTIONS_PER_CORE}-instruction store"
             ),
         ))
 
@@ -118,13 +85,10 @@ def verify_program(
         name: constant_states(function, cfg=cfgs[name])
         for name, function in program.functions.items()
     }
-    ranges: Optional[Dict[str, IntervalStates]] = None
-    if options.use_intervals:
-        ranges = {
-            name: interval_states(function, cfg=cfgs[name], program=program,
-                                  meta_ranges=options.meta_ranges)
-            for name, function in program.functions.items()
-        }
+    ranges: Dict[str, IntervalStates] = {
+        name: interval_states(function, cfg=cfgs[name], program=program)
+        for name, function in program.functions.items()
+    }
     has_entry = entry in program.functions
 
     # 3. Unreachable functions and blocks.
@@ -157,7 +121,7 @@ def verify_program(
 
     # 4. Uninitialized register reads (error-grade: the simulator
     # zero-fills, the real NPU does not).
-    if options.check_uninitialized and has_entry:
+    if has_entry:
         for name, index, reg in uninitialized_reads(
             program, entry=entry, scratch=scratch
         ):
@@ -172,11 +136,9 @@ def verify_program(
             ))
 
     # 5. Dead stores (lint-grade; the DSE pass can delete the pure ones).
-    if options.check_dead_stores and has_entry:
-        for name, index, reg in dead_stores(
-            program, entry=entry, entry_exit_live=options.entry_exit_live,
-            scratch=scratch,
-        ):
+    if has_entry:
+        for name, index, reg in dead_stores(program, entry=entry,
+                                            scratch=scratch):
             findings.append(Finding(
                 severity=Severity.WARNING,
                 code="dead-store",
@@ -187,15 +149,12 @@ def verify_program(
             ))
 
     # 6. Memory bounds / isolation / capacity.
-    if options.check_memory:
-        findings.extend(check_memory(program, consts, ranges,
-                                     use_intervals=options.use_intervals))
+    findings.extend(check_memory(program, consts, ranges))
 
     # 7. WCET and loop bounds.
-    if options.check_wcet and has_entry:
+    if has_entry:
         wcet = estimate_wcet(program, entry=entry, consts=consts,
-                             ranges=ranges,
-                             use_intervals=options.use_intervals)
+                             ranges=ranges)
         findings.extend(wcet.findings)
         report.wcet_cycles = wcet.total_cycles
         report.function_wcet = dict(wcet.function_cycles)
@@ -220,9 +179,9 @@ def verify_program(
                     index=loop.exit_index,
                 ))
 
-    # 8. Intrinsics without a static cost model: advisory even when the
-    # WCET pass is off (which would otherwise be the only thing that
-    # notices, as a warning on its own path).
+    # 8. Intrinsics without a static cost model: advisory in every
+    # function, including those the WCET pass never reaches from the
+    # entry (where it would otherwise be the only thing that notices).
     from ..interpreter import intrinsic_wcet
 
     for name, function in program.functions.items():

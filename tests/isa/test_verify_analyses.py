@@ -13,7 +13,6 @@ from repro.isa import AccessMode, Function, Op, ProgramBuilder, ins
 from repro.isa.verify import (
     MAX_INSTRUCTIONS_PER_CORE,
     Severity,
-    VerifyOptions,
     dead_stores,
     estimate_wcet,
     find_loops,
@@ -248,17 +247,13 @@ def test_dead_store_warning_and_scratch_exemption():
         f.ret("r1")
 
     program = build(body)
-    report = verify_program(
-        program, VerifyOptions(entry_exit_live=frozenset())
-    )
+    report = verify_program(program)
     dead = findings_with(report, "dead-store")
     assert any(f.index == 0 for f in dead)
 
     # The same store through a declared scratch register is exempt.
     scratched = build(body, scratch=("r1",))
-    report = verify_program(
-        scratched, VerifyOptions(entry_exit_live=frozenset())
-    )
+    report = verify_program(scratched)
     assert not findings_with(report, "dead-store")
 
 

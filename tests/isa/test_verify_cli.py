@@ -1,5 +1,5 @@
 """The standalone lint CLI: files, --workloads, --json, --forbid,
---explain, --wcet-delta, exit codes."""
+--explain, exit codes."""
 
 import json
 
@@ -136,19 +136,6 @@ UNPROVEN = """\
     ret r0
 """
 
-HEADER_LOOP = """\
-.lambda hdrloop entry=hdrloop
-.func hdrloop
-    hload r1, LambdaHeader.total_segments
-    mov r2, 0
-label loop
-    bge r2, r1, done
-    add r2, r2, 1
-    jmp loop
-label done
-    ret r2
-"""
-
 
 def test_forbid_rejects_on_matching_finding_code(tmp_path, capsys):
     masked = write(tmp_path, "masked.asm", MASKED)
@@ -186,25 +173,3 @@ def test_explain_rejects_bad_specs(tmp_path, capsys):
     # A function the program does not define is silently skipped (the
     # target may live in another file on the command line).
     assert main([path, "--explain", "other@0", "--quiet"]) == 0
-
-
-def test_wcet_delta_table(tmp_path, capsys):
-    clean = write(tmp_path, "clean.asm", CLEAN)
-    loop = write(tmp_path, "hdrloop.asm", HEADER_LOOP)
-    artifact = tmp_path / "delta.md"
-    assert main([clean, loop, "--wcet-delta", str(artifact),
-                 "--quiet"]) == 0
-    table = artifact.read_text()
-    assert "| program | WCET (pre-interval) | WCET (interval) | delta |" \
-        in table
-    # The straight-line program is exact either way; the header-limited
-    # loop only gets a bound from the interval pass.
-    assert "| clean |" in table and "| 0 |" in table
-    assert "| hdrloop | unbounded |" in table
-    assert "newly bounded" in table
-
-
-def test_wcet_delta_to_stdout(tmp_path, capsys):
-    loop = write(tmp_path, "hdrloop.asm", HEADER_LOOP)
-    assert main([loop, "--wcet-delta", "-", "--quiet"]) == 0
-    assert "newly bounded" in capsys.readouterr().out

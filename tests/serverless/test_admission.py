@@ -10,6 +10,7 @@ before anything is packaged or flashed.
 
 import pytest
 
+from repro.isa import ExecutionError, Interpreter
 from repro.serverless import (
     AdmissionError,
     AdmissionPolicy,
@@ -188,12 +189,12 @@ def test_manager_without_policy_is_unchanged():
     assert record.admission is None
 
 
-# -- differential guard for verifier deepening -------------------------------
+# -- interval-proven faults --------------------------------------------------
 
 
 def interval_flagged_nic_program(name="flagged"):
-    """Verifies clean pre-intervals (warning-grade unknown offset);
-    the interval pass proves the offset entirely out of bounds."""
+    """Constant propagation cannot pin the offset; the interval pass
+    proves it entirely out of bounds."""
     from repro.isa import ProgramBuilder
 
     builder = ProgramBuilder(name)
@@ -218,35 +219,22 @@ def interval_flagged_spec(name="flagged"):
     )
 
 
-def test_differential_guard_keeps_previously_admitted_lambdas():
-    """Sharper analysis must only tighten diagnostics, never flip a
-    lambda the pre-interval verifier admitted to rejected."""
-    from repro.serverless.admission import VerifyOptions
-    from repro.isa.verify import verify_program
-
-    program = interval_flagged_nic_program()
-    # Precondition: the two analysis depths genuinely disagree.
-    assert not verify_program(program).ok
-    assert verify_program(program, VerifyOptions(use_intervals=False)).ok
-
-    decision = AdmissionPolicy().evaluate(
-        interval_flagged_spec(), "lambda-nic",
-        available_kinds=("lambda-nic",),
-    )
-    assert decision.reason == "admitted"
-    assert decision.report.ok
-
-
-def test_differential_guard_can_be_disabled():
-    policy = AdmissionPolicy(differential_guard=False)
+def test_interval_proven_fault_is_rejected():
+    """A lambda the interval pass proves out of bounds is never
+    admitted: the reference interpreter faults on it every time."""
     with pytest.raises(AdmissionError) as excinfo:
-        policy.evaluate(interval_flagged_spec(), "lambda-nic",
-                        available_kinds=("lambda-nic",))
-    assert "oob-load" in str(excinfo.value.report.errors[0])
+        AdmissionPolicy().evaluate(interval_flagged_spec(), "lambda-nic",
+                                   available_kinds=("lambda-nic",))
+    assert excinfo.value.report.errors[0].code == "oob-load"
+    program = interval_flagged_nic_program()
+    for request_id in (0, 1, 12345):
+        with pytest.raises(ExecutionError, match="load out of bounds"):
+            Interpreter().run(
+                program, headers={"LambdaHeader": {"request_id": request_id}})
 
 
 def test_guard_does_not_mask_genuine_errors():
-    """Bugs both analysis depths agree on still reject."""
+    """Bugs constant propagation alone finds still reject."""
     with pytest.raises(AdmissionError):
         AdmissionPolicy().evaluate(buggy_spec(), "lambda-nic",
                                    available_kinds=("lambda-nic",))
